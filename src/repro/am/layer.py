@@ -143,6 +143,10 @@ class AMEndpoint:
         #: many messages we have consumed per source since the last refill
         self._credits: dict[int, int] = {}
         self._consumed: dict[int, int] = {}
+        #: some ``_consumed`` entry has reached half a window: the next
+        #: poll owes a refill (set where the counts grow, so a poll need
+        #: not scan every source)
+        self._refill_due = False
         # ---- reliability sublayer state (unused when reliable=False) ----
         #: next sequence number per destination channel
         self._send_seq: dict[int, int] = {}
@@ -415,11 +419,15 @@ class AMEndpoint:
     def _refill_credits(self) -> Generator[Any, Any, None]:
         """Receiver side: after consuming half a window from a source,
         send one refill message (exempt from flow control)."""
-        window = self.node.costs.net.credit_window
-        half = window // 2
-        refill_to = [src for src, n in self._consumed.items() if n >= half]
+        half = self._half_window
+        consumed = self._consumed
+        refill_to = [src for src, n in consumed.items() if n >= half]
+        self._refill_due = False
         for src in refill_to:
-            self._consumed[src] -= half
+            left = consumed[src] - half
+            consumed[src] = left
+            if left >= half:
+                self._refill_due = True  # still owed: the next poll refills
             yield self._chg_send_short
             self._inject(src, KIND_CREDIT, half, _CREDIT_BYTES)
 
@@ -622,6 +630,7 @@ class AMEndpoint:
             return 0
         handled = 0
         consumed = self._consumed
+        half = self._half_window
         fast_handlers = self._fast_handlers
         # The fused tier is exact for time/accounting (ChargeRun replays
         # charge-by-charge if anything lands inside the window) but it
@@ -638,7 +647,10 @@ class AMEndpoint:
                 fast = fast_handlers.get(frame.handler)
                 if fast is not None:
                     post, reply = fast(self, pkt.src, frame)
-                    consumed[pkt.src] = consumed.get(pkt.src, 0) + 1
+                    n = consumed.get(pkt.src, 0) + 1
+                    consumed[pkt.src] = n
+                    if n >= half:
+                        self._refill_due = True
                     if reply is not None:
                         yield self._crun_hit_reply
                         counts[CounterNames.MSG_SHORT] += 1
@@ -670,7 +682,10 @@ class AMEndpoint:
                 # injection -> serviced: wire time + inbox queueing + the
                 # receive CPU just charged (the paper's reception delay)
                 h_service.record(sim._now - pkt.send_time)
-            consumed[pkt.src] = consumed.get(pkt.src, 0) + 1
+            n = consumed.get(pkt.src, 0) + 1
+            consumed[pkt.src] = n
+            if n >= half:
+                self._refill_due = True
             frame: AMFrame = pkt.payload
             try:
                 fn = self._handlers[frame.handler]
@@ -695,11 +710,8 @@ class AMEndpoint:
             handled += 1
         # delegate to the refill generator only when a source actually
         # crossed the half-window (the common poll sends no refill)
-        half = self._half_window
-        for n in consumed.values():
-            if n >= half:
-                yield from self._refill_credits()
-                break
+        if self._refill_due:
+            yield from self._refill_credits()
         if handled and node.scheduler is not None:
             # Let every thread blocked on inbox activity recheck its
             # predicate — handlers may have completed their operations.

@@ -190,7 +190,7 @@ class BatchedEm3dKernel:
                 # drain below is an exact replica of ``AMEndpoint.poll``
                 # with the span/metrics branches constant-folded away
                 # (the kernel only runs when both are off) — same charges,
-                # same counter bumps, same refill scan, same waiter
+                # same counter bumps, same refill check, same waiter
                 # broadcast — without the per-poll generator allocation
                 # and frame hop.  Frames without a fast form (barriers,
                 # bulk) take the generic handler branch, exactly as the
@@ -211,7 +211,10 @@ class BatchedEm3dKernel:
                                 fast = fast_handlers.get(frame.handler)
                                 if fast is not None:
                                     post, reply = fast(ep, src, frame)
-                                    consumed[src] = consumed.get(src, 0) + 1
+                                    n = consumed.get(src, 0) + 1
+                                    consumed[src] = n
+                                    if n >= half:
+                                        ep._refill_due = True
                                     if reply is not None:
                                         yield crun_hit_reply
                                         counts[msg_short] += 1
@@ -247,7 +250,10 @@ class BatchedEm3dKernel:
                                 continue
                             # generic handler branch (poll's slow path)
                             yield chg_hit_bulk if kind == KIND_BULK else chg_hit_short
-                            consumed[src] = consumed.get(src, 0) + 1
+                            n = consumed.get(src, 0) + 1
+                            consumed[src] = n
+                            if n >= half:
+                                ep._refill_due = True
                             frame = pkt.payload
                             try:
                                 fn = handlers[frame.handler]
@@ -263,10 +269,8 @@ class BatchedEm3dKernel:
                             finally:
                                 ep._in_handler = False
                             handled += 1
-                        for n in consumed.values():
-                            if n >= half:
-                                yield from refill()
-                                break
+                        if ep._refill_due:
+                            yield from refill()
                         if handled:
                             wake_all()
                     if box.done:

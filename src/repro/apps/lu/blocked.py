@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import ReproError
 from repro.util.rng import make_rng
@@ -56,12 +55,14 @@ def lu_nopivot(a: np.ndarray) -> None:
 
 def panel_l(a_ik: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """L_ik = A_ik · U_kk⁻¹ (U_kk is the upper part of the pivot block)."""
-    return scipy.linalg.solve_triangular(pivot, a_ik.T, lower=False, trans="T").T
+    return np.linalg.solve(np.triu(pivot).T, a_ik.T).T
 
 
 def panel_u(a_kj: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """U_kj = L_kk⁻¹ · A_kj (L_kk is unit-lower from the pivot block)."""
-    return scipy.linalg.solve_triangular(pivot, a_kj, lower=True, unit_diagonal=True)
+    unit_lower = np.tril(pivot, -1)
+    np.fill_diagonal(unit_lower, 1.0)
+    return np.linalg.solve(unit_lower, a_kj)
 
 
 class LuWorkload:

@@ -57,6 +57,11 @@ class Packet:
     unsequenced), ``ack`` a piggybacked cumulative acknowledgment (-1 =
     none), and ``attempt`` counts retransmissions of the same sequence
     number (0 = original send).
+
+    A packet on the wire is its own arrival event: :meth:`Network.transmit`
+    binds the network and the destination node into ``_net``/``_dst`` and
+    schedules the packet itself, so delivering one message allocates no
+    closure and no registry entry.
     """
 
     src: int
@@ -66,7 +71,7 @@ class Packet:
     nbytes: int
     send_time: float = 0.0
     arrival_time: float = 0.0
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = field(default_factory=_packet_ids.__next__)
     seq: int = -1
     ack: int = -1
     attempt: int = 0
@@ -74,6 +79,14 @@ class Packet:
     # (retransmits are fresh packets), and traced runs describe each
     # packet at least twice (send + deliver)
     _descr: str | None = None
+    # bound by Network.transmit for the flight, read by __call__
+    _net: Any = field(default=None, compare=False, repr=False)
+    _dst: Any = field(default=None, compare=False, repr=False)
+
+    def __call__(self) -> None:
+        """Arrival event: count the delivery, hand over to the node."""
+        self._net.packets_delivered += 1
+        self._dst.deliver(self)
 
     def describe(self) -> str:
         d = self._descr
@@ -126,9 +139,6 @@ class Network:
         self.packets_dropped = 0
         self.packets_duplicated = 0
         self.bytes_carried = 0
-        #: packets scheduled for delivery but not yet landed, by pid
-        #: (diagnostics for the deadlock dump; also backs ``in_flight``)
-        self._in_flight: dict[int, Packet] = {}
 
     def register(self, node: Any) -> None:
         """Add a node to the fabric (done by the cluster builder)."""
@@ -150,7 +160,12 @@ class Network:
     def in_flight(self) -> int:
         """Packets injected (including duplicates) but neither delivered
         nor dropped yet."""
-        return len(self._in_flight)
+        return (
+            self.packets_sent
+            + self.packets_duplicated
+            - self.packets_dropped
+            - self.packets_delivered
+        )
 
     def transmit(self, packet: Packet, *, bulk: bool = False) -> None:
         """Inject ``packet``; it is delivered to the destination inbox after
@@ -199,18 +214,11 @@ class Network:
         if self._trace is not None:
             self._trace(now, packet.src, "send", packet.describe())
 
+        packet._net = self
+        packet._dst = dst
         faults = self.faults
         if faults is None:
-            # inlined _schedule_delivery — one closure and one schedule
-            # per message on the common fault-free path
-            self._in_flight[packet.pid] = packet
-
-            def _arrive() -> None:
-                del self._in_flight[packet.pid]
-                self.packets_delivered += 1
-                dst.deliver(packet)
-
-            self.sim.schedule(wire, _arrive)
+            self.sim.schedule(wire, packet)
             return
         else:
             verdict = faults.decide(
@@ -246,39 +254,34 @@ class Network:
                     src=packet.src, dst=packet.dst, kind=packet.kind,
                     payload=payload, nbytes=packet.nbytes,
                     seq=packet.seq, ack=packet.ack, attempt=packet.attempt,
+                    _net=self, _dst=dst,
                 )
                 copy.send_time = now
                 copy.arrival_time = now + wire
-                self._schedule_delivery(copy, dst, wire)
+                self.sim.schedule(wire, copy)
 
-        self._schedule_delivery(packet, dst, wire)
-
-    def _schedule_delivery(self, packet: Packet, dst: Any, wire: float) -> None:
-        self._in_flight[packet.pid] = packet
-
-        def _arrive() -> None:
-            del self._in_flight[packet.pid]
-            self.packets_delivered += 1
-            dst.deliver(packet)
-
-        self.sim.schedule(wire, _arrive)
+        self.sim.schedule(wire, packet)
 
     def quiescent(self) -> bool:
         """True when nothing is in flight and every inbox is empty.
 
-        Counts actual in-flight packets rather than comparing sent vs
-        delivered totals, so it stays correct when the fault plan drops
-        or duplicates traffic.
+        The in-flight count nets out the packets the fault plan dropped or
+        duplicated, so it stays correct on a lossy fabric.
         """
-        if self._in_flight:
+        if self.in_flight:
             return False
         return all(not n.has_mail for n in self._nodes.values())
 
     def describe_in_flight(self) -> list[str]:
-        """The packets currently on the wire, oldest first (diagnostics)."""
+        """The packets currently on the wire, oldest first (diagnostics;
+        scans the event queue, so only the deadlock path calls it)."""
+        pending = [
+            fn
+            for fn in self.sim.pending_callbacks()
+            if type(fn) is Packet and fn._net is self
+        ]
+        pending.sort(key=lambda p: (p.arrival_time, p.pid))
         return [
             f"{p.describe()} sent t={p.send_time:.1f} due t={p.arrival_time:.1f}"
-            for p in sorted(
-                self._in_flight.values(), key=lambda p: (p.arrival_time, p.pid)
-            )
+            for p in pending
         ]

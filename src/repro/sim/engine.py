@@ -237,6 +237,13 @@ class Simulator:
             "freelist": len(self._free),
         }
 
+    def pending_callbacks(self) -> list[Callable[[], None]]:
+        """The callbacks of every live queued event, in no particular
+        order (diagnostics — O(queued), off every hot path)."""
+        fns = [e[2] for e in self._heap if e[2] is not None]
+        fns.extend(e[2] for e in self._immediate)
+        return fns
+
     # ------------------------------------------------------------ scheduling
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:

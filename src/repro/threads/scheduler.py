@@ -70,8 +70,10 @@ class Scheduler:
         self._h_runq = (
             None if metrics is None else metrics.histogram(MetricNames.RUNQ_DEPTH)
         )
-        #: threads that ever ran on this node (diagnostics)
-        self.threads: list[UThread] = []
+        #: live threads on this node, in creation order (diagnostics); a
+        #: thread leaves when it finishes, so the registry tracks live
+        #: state rather than history
+        self.threads: dict[UThread, None] = {}
         #: trampoline entries — the stall watchdog's progress signal
         self.steps = 0
         # hot-path bindings, resolved once: the trampoline enters thousands
@@ -101,8 +103,8 @@ class Scheduler:
         return bool(self._ready)
 
     def blocked_threads(self) -> list[UThread]:
-        """All live threads that are neither ready nor running (diagnostics
-        for :class:`~repro.errors.DeadlockError`)."""
+        """All live threads that are neither ready nor running, in creation
+        order (diagnostics for :class:`~repro.errors.DeadlockError`)."""
         return [
             t
             for t in self.threads
@@ -110,7 +112,7 @@ class Scheduler:
         ]
 
     def live_nondaemon_count(self) -> int:
-        return sum(1 for t in self.threads if t.alive and not t.daemon)
+        return sum(1 for t in self.threads if not t.daemon)
 
     def describe_blocked(self) -> list[str]:
         """One line per blocked thread, with its generator stack (the
@@ -134,7 +136,7 @@ class Scheduler:
         use :func:`repro.threads.spawn` from simulated code so the 5 µs
         creation cost is paid."""
         thr = UThread(self, gen, name, daemon=daemon)
-        self.threads.append(thr)
+        self.threads[thr] = None
         self._make_ready(thr)
         return thr
 
@@ -473,6 +475,7 @@ class Scheduler:
         thr.state = ThreadState.DONE
         thr.result = result
         thr.exception = exc
+        del self.threads[thr]
         self.current = None
         for waiter in thr.take_join_waiters():
             self.wake(waiter)

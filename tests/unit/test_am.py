@@ -3,11 +3,54 @@
 import pytest
 
 from repro.am import AMEndpoint, install_am
+from repro.am.layer import KIND_CREDIT
 from repro.errors import RuntimeStateError, SimulationError
 from repro.machine.cluster import Cluster
 from repro.machine.costs import SP2_COSTS
 from repro.sim.account import Category, CounterNames
 from repro.sim.effects import Charge
+
+
+#: credit refills (src, dst, send time) of the many-to-one scenario below,
+#: as produced by the full per-poll scan of every source's counter
+_MANY_TO_ONE_REFILLS = [
+    (0, 1, 126.60000000000007),
+    (0, 2, 130.10000000000008),
+    (0, 3, 133.60000000000008),
+    (0, 4, 137.10000000000008),
+    (0, 5, 140.60000000000008),
+    (0, 6, 144.10000000000008),
+    (0, 1, 232.29999999999995),
+    (0, 2, 235.79999999999995),
+    (0, 3, 239.29999999999995),
+    (0, 4, 242.79999999999995),
+    (0, 5, 246.29999999999995),
+    (0, 6, 249.79999999999995),
+    (0, 1, 337.99999999999983),
+    (0, 2, 341.49999999999983),
+    (0, 3, 344.99999999999983),
+    (0, 4, 348.49999999999983),
+    (0, 5, 351.99999999999983),
+    (0, 6, 355.49999999999983),
+    (0, 1, 443.6999999999997),
+    (0, 2, 447.1999999999997),
+    (0, 3, 450.6999999999997),
+    (0, 4, 454.1999999999997),
+    (0, 5, 457.6999999999997),
+    (0, 6, 461.1999999999997),
+    (0, 1, 539.8000000000001),
+    (0, 2, 543.3000000000001),
+    (0, 3, 546.8000000000001),
+    (0, 4, 550.3000000000001),
+    (0, 5, 553.8000000000001),
+    (0, 6, 557.3000000000001),
+    (0, 3, 623.1000000000003),
+    (0, 4, 626.6000000000003),
+    (0, 5, 630.1000000000003),
+    (0, 6, 633.6000000000003),
+    (0, 5, 686.6000000000003),
+    (0, 6, 690.1000000000003),
+]
 
 
 def _cluster_with_am(n=2, **cluster_kw):
@@ -468,3 +511,61 @@ class TestCreditFlowControl:
         # replies rode reserved slots: node 1's balance never went below
         # its initial window (it only grows, from refills for the acks)
         assert eps[1]._credits.get(0, 2) >= 2
+
+    def test_many_to_one_refills_pinned(self):
+        """Six senders stream into one slow receiver (window 4, so every
+        poll finds up to two half-windows from each source, one of them
+        still owed after the refill).  The refills -- (src, dst, send
+        time), in order -- are pinned to the values the full scan of every
+        source's consumed counter produced, through both the fast-handler
+        and the generic poll sites."""
+        n_senders = 6
+        cluster, eps = _cluster_with_am(
+            n_senders + 1, costs=SP2_COSTS.with_net(credit_window=4)
+        )
+        net = cluster.network
+        refills = []
+        transmit = net.transmit
+
+        def recording_transmit(packet, *, bulk=False):
+            transmit(packet, bulk=bulk)
+            if packet.kind == KIND_CREDIT:
+                refills.append((packet.src, packet.dst, packet.send_time))
+
+        net.transmit = recording_transmit
+        handled = {"n": 0}
+
+        def sink(ep, src, frame):
+            handled["n"] += 1
+            return
+            yield
+
+        def sink_fast(ep, src, frame):
+            handled["n"] += 1
+            return None, None
+
+        eps[0].register_handler("sink", sink)
+        eps[0].register_handler("fast", sink)
+        eps[0].register_fast("fast", sink_fast)
+        counts = {nid: 9 + nid for nid in range(1, n_senders + 1)}
+        total = sum(counts.values())
+
+        def receiver(node):
+            ep = node.service("am")
+            while handled["n"] < total:
+                yield Charge(23.0, Category.CPU)
+                yield from ep.poll()
+
+        def sender(node, n):
+            ep = node.service("am")
+            yield Charge(3.0 * node.nid, Category.CPU)
+            for i in range(n):
+                handler = "fast" if i % 3 else "sink"
+                yield from ep.send_short(0, handler, args=(i,), nbytes=16)
+
+        cluster.launch(0, receiver(cluster.nodes[0]))
+        for nid, n in counts.items():
+            cluster.launch(nid, sender(cluster.nodes[nid], n))
+        cluster.run()
+        assert handled["n"] == total
+        assert refills == _MANY_TO_ONE_REFILLS

@@ -59,6 +59,12 @@ class TestKernels:
         a_kj = rng.uniform(-1, 1, (8, 8))
         assert np.allclose(panel_l(a_ik, pivot) @ upper, a_ik)
         assert np.allclose(lower @ panel_u(a_kj, pivot), a_kj)
+        # scipy's triangular solves are the reference; the kernels use a
+        # general solve, so agreement is to float64 rounding, not bitwise
+        ref_l = scipy.linalg.solve_triangular(pivot, a_ik.T, lower=False, trans="T").T
+        ref_u = scipy.linalg.solve_triangular(pivot, a_kj, lower=True, unit_diagonal=True)
+        np.testing.assert_allclose(panel_l(a_ik, pivot), ref_l, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(panel_u(a_kj, pivot), ref_u, rtol=1e-12, atol=1e-14)
 
 
 class TestGeometry:
