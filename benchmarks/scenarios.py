@@ -428,40 +428,3 @@ def tree_allreduce(stats_out: dict | None = None) -> float:
         stats_out.update(cluster.sim.fastpath_stats())
     return cluster.sim.now
 
-
-@scenario("service_submit_roundtrip")
-def service_submit_roundtrip(stats_out: dict | None = None) -> int:
-    """Submit -> stream -> result through the experiment daemon's unix
-    socket with inline workers: three jobs for the same cheap artifact
-    (one executes, two resolve from the result cache), so the number
-    prices the queue/protocol layer — JSONL framing, scheduling, event
-    fan-out, cache resolution — not the simulation."""
-    import tempfile
-
-    from repro.experiments.cache import ResultCache
-    from repro.service import ExperimentClient, ExperimentService
-    from repro.service.server import ServiceConfig
-
-    events = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        service = ExperimentService(
-            f"{tmp}/svc.sock",
-            config=ServiceConfig(workers=0),
-            cache=ResultCache(f"{tmp}/cache", version="bench"),
-        )
-        service.start()
-        try:
-            client = ExperimentClient.connect(f"{tmp}/svc.sock")
-            for _ in range(3):
-                job = client.submit("scaling", {"sizes": (20,)})
-                events += sum(1 for _ in client.stream(job))
-                assert client.result(job)[0].points  # live-object round trip
-            counts = service.stats()["counts"]
-            assert counts["tasks_executed"] == 1  # the cache served the rest
-            assert counts["cache_hits"] == 2
-            if stats_out is not None:
-                stats_out.update({k: float(v) for k, v in counts.items()})
-        finally:
-            service.stop(drain=True)
-    assert events == 15  # 5 per job, each stream ending terminally
-    return events

@@ -17,17 +17,12 @@ The default root is ``$REPRO_CACHE_DIR``, else
 
 Concurrent writers are safe: every ``store`` writes to a **unique**
 temp file in the target directory and publishes with an atomic
-``os.replace``, so two clients computing the same point never
-interleave partial JSON — last writer wins, and every reader sees a
-whole envelope.  Each envelope additionally carries the SHA-256 of its
+``os.replace``, so two invocations sharing one cache directory and
+computing the same point never interleave partial JSON — last writer
+wins, and every reader sees a whole envelope.  Each envelope additionally carries the SHA-256 of its
 result payload; ``load`` re-hashes on read and treats a mismatch
 (bit-rot, a torn copy from outside the atomic path) as a miss,
 deleting the bad file.
-
-``gc(max_bytes)`` keeps the cache size-capped: entries are evicted
-least-recently-used first (a hit refreshes the file's mtime), oldest
-until the total is back under the cap.  The service daemon runs this
-after stores; it is also safe to call from anywhere.
 
 The key deliberately does **not** hash source code: within one package
 version, editing an experiment module and re-running will hit stale
@@ -42,14 +37,13 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.serde import canonical_json
 
-__all__ = ["ResultCache", "GCReport", "default_cache_root"]
+__all__ = ["ResultCache", "default_cache_root"]
 
 
 def _package_version() -> str:
@@ -70,17 +64,6 @@ def default_cache_root() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-experiments"
-
-
-@dataclass
-class GCReport:
-    """What one :meth:`ResultCache.gc` pass did."""
-
-    scanned: int = 0
-    evicted: int = 0
-    bytes_before: int = 0
-    bytes_after: int = 0
-    evicted_paths: list = field(default_factory=list)
 
 
 class ResultCache:
@@ -142,10 +125,6 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        try:  # refresh mtime: the LRU clock gc() evicts by
-            os.utime(path)
-        except OSError:
-            pass
         return result
 
     def store(self, spec: ExperimentSpec, params: dict[str, Any], result: Any) -> Path | None:
@@ -168,47 +147,3 @@ class ResultCache:
         os.replace(tmp, path)  # atomic: concurrent runners never see half a file
         self.stores += 1
         return path
-
-    # -- eviction --------------------------------------------------------
-    def size_bytes(self) -> int:
-        """Total bytes of every cached envelope under the root."""
-        return sum(st.st_size for _, st in self._entries())
-
-    def _entries(self) -> list[tuple[Path, os.stat_result]]:
-        out = []
-        if not self.root.is_dir():
-            return out
-        for path in self.root.glob("*/*.json"):
-            try:
-                out.append((path, path.stat()))
-            except OSError:
-                continue
-        return out
-
-    def gc(self, max_bytes: int) -> GCReport:
-        """Evict least-recently-used envelopes until the cache is at or
-        under ``max_bytes``.  Stale temp files are always removed."""
-        for tmp in self.root.glob("*/*.tmp") if self.root.is_dir() else ():
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        entries = self._entries()
-        report = GCReport(
-            scanned=len(entries),
-            bytes_before=sum(st.st_size for _, st in entries),
-        )
-        report.bytes_after = report.bytes_before
-        # oldest mtime first; path breaks ties so eviction is deterministic
-        entries.sort(key=lambda e: (e[1].st_mtime, str(e[0])))
-        for path, st in entries:
-            if report.bytes_after <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            report.evicted += 1
-            report.bytes_after -= st.st_size
-            report.evicted_paths.append(path)
-        return report

@@ -4,49 +4,28 @@ Subcommands::
 
     repro-experiments list                      # every artifact + its schema
     repro-experiments run <artifact|all> [...]  # regenerate artifacts
-    repro-experiments sweep <artifact> --param k=v1,v2 [...]   # grids
-    repro-experiments serve [...]               # the experiment daemon
-    repro-experiments submit <artifact|all> [...]   # queue a job on a daemon
-    repro-experiments status|stream|cancel <job>    # follow / control a job
-    repro-experiments list-jobs | stats             # daemon introspection
+    repro-experiments sweep <artifact> --axis k=v1,v2 [...]   # grids
 
-Also usable as ``python -m repro.experiments.cli``.  The pre-subcommand
-form (``repro-experiments table4 --scenario 0-Word``) is **deprecated**
-(one release of warning) and maps onto ``run``.
+Also usable as ``python -m repro.experiments.cli``.
 
-``run`` and ``sweep`` are thin wrappers over the typed
-:class:`~repro.service.client.ExperimentClient`: by default the client
-runs in-process (validated through the registry, executed on the
-process pool, cached on disk — exactly the historical path, stdout
-byte-identical), and with ``--daemon ADDR`` the same calls go to a
-running ``serve`` daemon instead.  ``--jobs N`` shards work across a
-spawn process pool and merges deterministically; results are cached on
-disk by (package version, artifact, params) — ``--no-cache`` bypasses,
-``--refresh`` recomputes and overwrites.
+``run`` and ``sweep`` build a list of schema-validated tasks and hand it
+to :func:`~repro.experiments.runner.run_tasks`.  ``--jobs N`` shards the
+tasks across a spawn process pool and merges in input order, so stdout
+is byte-identical to ``--jobs 1``.  Results are cached on disk by
+(package version, artifact, params): ``--no-cache`` bypasses the cache,
+``--refresh`` recomputes and overwrites.  ``run --out DIR`` writes the
+same outcomes to files instead of stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import warnings
 from typing import Any
 
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentParamError
-
-_COMMANDS = (
-    "run", "list", "sweep", "serve", "submit", "status", "stream",
-    "cancel", "list-jobs", "stats",
-)
-
-_DEPRECATION_NOTE = (
-    "the positional form `repro-experiments <artifact> ...` is deprecated "
-    "and will be removed next release; use `repro-experiments run "
-    "<artifact> ...` (see `repro-experiments list`)"
-)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,29 +67,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_daemon_flags(parser: argparse.ArgumentParser, *, required: bool = False) -> None:
-    parser.add_argument(
-        "--daemon",
-        metavar="ADDR",
-        default="" if required else None,
-        help="experiment-daemon address: a unix-socket path or host:port "
-        "(default: $REPRO_SERVICE_ADDR or the per-user socket)",
-    )
-    parser.add_argument(
-        "--client",
-        metavar="NAME",
-        default=None,
-        help="client name for the daemon's per-client quota accounting",
-    )
-    parser.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        metavar="P",
-        help="job priority (higher runs first; default 0)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -128,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which paper artifact to regenerate",
     )
     _add_common_flags(run)
-    _add_daemon_flags(run)
     run.add_argument(
         "--scenario",
         action="append",
@@ -140,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--out",
         metavar="DIR",
-        help="also write rendered artifacts (and CSVs) to this directory; "
-        "for 'trace', a path ending in .json writes the Perfetto JSON "
-        "directly to that file",
+        help="write rendered artifacts (and CSVs) to this directory "
+        "instead of stdout; for 'trace', a path ending in .json writes "
+        "the Perfetto JSON directly to that file",
     )
 
     sweep = sub.add_parser(
@@ -154,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which artifact to sweep",
     )
     _add_common_flags(sweep)
-    _add_daemon_flags(sweep)
     sweep.add_argument(
         "--axis",
         action="append",
@@ -166,100 +120,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--csv", metavar="PATH", help="also write the merged sweep CSV here"
     )
-
-    serve = sub.add_parser(
-        "serve", help="run the experiment daemon (async job queue)"
-    )
-    serve.add_argument(
-        "--address",
-        metavar="ADDR",
-        default=None,
-        help="listen address: unix-socket path or host:port "
-        "(default: $REPRO_SERVICE_ADDR or the per-user socket)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes executing tasks (0 = inline; default 2)",
-    )
-    serve.add_argument(
-        "--quota", type=int, default=0, metavar="K",
-        help="max tasks of one client running at once (0 = unlimited)",
-    )
-    serve.add_argument(
-        "--keep-jobs", type=int, default=256, metavar="N",
-        help="terminal jobs kept for status/list-jobs (default 256)",
-    )
-    serve.add_argument(
-        "--cache-max-mb", type=float, default=None, metavar="MB",
-        help="size-cap the result cache (LRU eviction after each store)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without a result cache (no dedup across restarts)",
-    )
-    serve.add_argument(
-        "--refresh", action="store_true",
-        help="recompute cache hits instead of serving them",
-    )
-    serve.add_argument("--cache-dir", metavar="DIR", help="result-cache directory")
-
-    submit = sub.add_parser(
-        "submit", help="queue a job on a daemon and print its id"
-    )
-    submit.add_argument(
-        "artifact",
-        choices=[*registry.ARTIFACT_NAMES, "all"],
-        help="artifact to queue ('all' queues the full batch as one job)",
-    )
-    _add_common_flags(submit)
-    _add_daemon_flags(submit, required=True)
-    submit.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        metavar="K=V1,V2",
-        help="sweep axis (repeatable): queue a whole grid as one job",
-    )
-    submit.add_argument(
-        "--follow",
-        action="store_true",
-        help="stream events to stderr and render results to stdout "
-        "(byte-identical to `run`/`sweep`) instead of printing the job id",
-    )
-
-    for name, help_text in (
-        ("status", "print a job's record as JSON"),
-        ("stream", "tail a job's JSONL event stream to stdout"),
-        ("cancel", "cancel a queued/running job"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("job_id", help="job id returned by submit")
-        _add_daemon_flags(cmd)
-        if name == "stream":
-            cmd.add_argument(
-                "--from-seq", type=int, default=0, metavar="N",
-                help="replay from this event seq (default 0: the whole log)",
-            )
-
-    jobs = sub.add_parser("list-jobs", help="list the daemon's jobs")
-    _add_daemon_flags(jobs)
-    stats = sub.add_parser(
-        "stats", help="daemon gauges/histograms (queue depth, wait, utilization)"
-    )
-    _add_daemon_flags(stats)
     return parser
 
 
-def _make_cache(args: argparse.Namespace):
-    if args.no_cache:
-        return None
-    from repro.experiments.cache import ResultCache
+def _run(args: argparse.Namespace, tasks: list) -> list:
+    """Run ``tasks`` with the orchestration flags (jobs, cache, refresh)."""
+    from repro.experiments.runner import run_tasks
 
-    return ResultCache(args.cache_dir)
+    cache = None
+    if not args.no_cache:
+        from repro.experiments.cache import ResultCache
 
-
-def _jobs(args: argparse.Namespace) -> int:
-    return (os.cpu_count() or 1) if args.jobs == 0 else args.jobs
+        cache = ResultCache(args.cache_dir)
+    jobs = (os.cpu_count() or 1) if args.jobs == 0 else args.jobs
+    return run_tasks(tasks, jobs=jobs, cache=cache, refresh=args.refresh)
 
 
 def _overrides(spec, args: argparse.Namespace) -> dict[str, Any]:
@@ -280,51 +154,6 @@ def _overrides(spec, args: argparse.Namespace) -> dict[str, Any]:
     return overrides
 
 
-def _make_client(args: argparse.Namespace):
-    """The unified client: a daemon connection when --daemon was given,
-    else the in-process backend (the historical execution path)."""
-    from repro.service.client import ExperimentClient
-
-    daemon = getattr(args, "daemon", None)
-    if daemon is not None:
-        return ExperimentClient.connect(
-            daemon or None, client=getattr(args, "client", None)
-        ), True
-    return ExperimentClient.in_process(
-        jobs=_jobs(args), cache=_make_cache(args), refresh=args.refresh,
-        client=getattr(args, "client", None),
-    ), False
-
-
-def _echo_stream(client, job_id: str) -> None:
-    """Daemon progress to stderr (the in-process backend already printed
-    the runner's own progress lines while executing)."""
-    for event in client.stream(job_id):
-        data = event.data
-        if event.kind == "task.started":
-            print(f"[{data.get('label')}] running", file=sys.stderr, flush=True)
-        elif event.kind == "task.cached":
-            print(f"[{data.get('label')}] cache hit", file=sys.stderr, flush=True)
-        elif event.kind == "task.finished" and data.get("source") != "cache":
-            print(
-                f"[{data.get('label')}] done ({data.get('source')})",
-                file=sys.stderr, flush=True,
-            )
-        elif event.terminal:
-            print(
-                f"[{job_id}] {event.kind} {json.dumps(data, sort_keys=True)}",
-                file=sys.stderr, flush=True,
-            )
-
-
-def _print_run_results(client, job_id: str) -> None:
-    record = client.status(job_id)
-    for name, result in zip(record.artifacts, client.result(job_id)):
-        print(f"=== {name} ===")
-        print(registry.get(name).render(result))
-        print()
-
-
 def _cmd_list() -> int:
     from repro.util.tables import TextTable
 
@@ -342,56 +171,41 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.experiments.runner import Task
+
     names = list(registry.ARTIFACT_NAMES) if args.artifact == "all" else [args.artifact]
     if args.scenario:
         args.param = args.param + ["scenarios=" + ",".join(args.scenario)]
-
     try:
-        requests = [
-            (name, _overrides(registry.get(name), args)) for name in names
+        tasks = [
+            Task(spec, spec.validate(_overrides(spec, args)))
+            for spec in map(registry.get, names)
         ]
     except ExperimentParamError as exc:
         parser.error(str(exc))
 
-    # `trace --out x.json`: write the Perfetto JSON straight to the named
-    # file (open it at ui.perfetto.dev)
+    outcomes = _run(args, tasks)
     if args.artifact == "trace" and args.out and args.out.endswith(".json"):
-        spec = registry.get("trace")
-        result = spec.run_fn()(**spec.validate(requests[0][1]))
-        print(spec.render(result))
-        print(f"wrote {result.write(args.out)}")
-        return 0
+        # `trace --out x.json`: the Perfetto JSON straight to the named
+        # file (open it at ui.perfetto.dev)
+        (outcome,) = outcomes
+        print(outcome.task.spec.render(outcome.result))
+        print(f"wrote {outcome.result.write(args.out)}")
+    elif args.out:
+        from repro.experiments.report import write_results
 
-    if args.out:
-        from repro.experiments.report import write_all
-
-        stems = [registry.get(n).file_stem for n in names]
-        paths = write_all(
-            args.out,
-            quick=not args.full,
-            iters=args.iters,
-            artifacts=tuple(stems),
-            jobs=_jobs(args),
-            cache=_make_cache(args),
-            refresh=args.refresh,
-        )
-        for path in paths:
+        for path in write_results(args.out, outcomes):
             print(f"wrote {path}")
-        return 0
-
-    client, remote = _make_client(args)
-    try:
-        job_id = client.submit(tasks=requests, priority=args.priority)
-        if remote:
-            _echo_stream(client, job_id)
-        _print_run_results(client, job_id)
-    except Exception as exc:
-        return _client_error(exc)
+    else:
+        for outcome in outcomes:
+            print(f"=== {outcome.task.spec.name} ===")
+            print(outcome.task.spec.render(outcome.result))
+            print()
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments.sweep import job_sweep_csv, render_points
+    from repro.experiments.sweep import grid_tasks, render_sweep, sweep_csv
 
     spec = registry.get(args.artifact)
     try:
@@ -412,25 +226,13 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             raise ExperimentParamError(
                 "a sweep needs at least one multi-valued --axis/--param"
             )
+        tasks = grid_tasks(spec, axes, fixed)
     except ExperimentParamError as exc:
         parser.error(str(exc))
 
-    client, remote = _make_client(args)
-    try:
-        job_id = client.submit(
-            spec.name, fixed, axes=axes, priority=args.priority
-        )
-        if remote:
-            _echo_stream(client, job_id)
-        results = client.result(job_id)
-        record = client.status(job_id)
-    except ExperimentParamError as exc:
-        parser.error(str(exc))
-    except Exception as exc:
-        return _client_error(exc)
-
-    print(render_points(spec, record.labels, results))
-    text = job_sweep_csv(axes, record)
+    outcomes = _run(args, tasks)
+    print(render_sweep(spec, axes, outcomes))
+    text = sweep_csv(axes, outcomes)
     print()
     print(text, end="")
     if args.csv:
@@ -443,153 +245,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _client_error(exc: Exception) -> int:
-    from repro.service.protocol import ProtocolError
-    from repro.service.server import ServiceError
-
-    if isinstance(exc, (ProtocolError, ServiceError, ExperimentParamError,
-                        RuntimeError, TimeoutError)):
-        print(f"repro-experiments: {exc}", file=sys.stderr)
-        return 1
-    raise exc
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.protocol import default_address
-    from repro.service.server import ExperimentService, ServiceConfig
-
-    address = args.address or default_address()
-    config = ServiceConfig(
-        workers=args.workers,
-        quota=args.quota,
-        keep_jobs=args.keep_jobs,
-        cache_max_bytes=(
-            None if args.cache_max_mb is None
-            else int(args.cache_max_mb * 1024 * 1024)
-        ),
-        refresh=args.refresh,
-    )
-    service = ExperimentService(
-        address, config=config, cache=_make_cache(args)
-    )
-    service.install_signal_handlers()
-    try:
-        service.start()
-    except Exception as exc:
-        print(f"repro-experiments serve: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"serving experiments at {address} "
-        f"(workers={config.workers}, quota={config.quota or 'unlimited'}); "
-        f"SIGINT drains gracefully",
-        file=sys.stderr, flush=True,
-    )
-    service.serve_forever()
-    print("drained; all workers reaped", file=sys.stderr)
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.service.client import ExperimentClient
-
-    client = ExperimentClient.connect(
-        args.daemon or None, client=args.client
-    )
-    try:
-        if args.axis:
-            if args.artifact == "all":
-                parser.error("--axis sweeps one artifact, not 'all'")
-            spec = registry.get(args.artifact)
-            axes: dict[str, list[Any]] = {}
-            for item in args.axis:
-                if "=" not in item:
-                    raise ExperimentParamError(
-                        f"--axis expects K=V1,V2,..., got {item!r}"
-                    )
-                key, _, value = item.partition("=")
-                axes[key] = spec.param(key).parse_axis(value)
-            fixed = _overrides(spec, args)
-            job_id = client.submit(
-                spec.name, fixed, axes=axes, priority=args.priority
-            )
-        else:
-            names = (
-                list(registry.ARTIFACT_NAMES)
-                if args.artifact == "all" else [args.artifact]
-            )
-            requests = [
-                (name, _overrides(registry.get(name), args)) for name in names
-            ]
-            job_id = client.submit(tasks=requests, priority=args.priority)
-    except ExperimentParamError as exc:
-        parser.error(str(exc))
-    except Exception as exc:
-        return _client_error(exc)
-
-    if not args.follow:
-        print(job_id)
-        return 0
-    try:
-        _echo_stream(client, job_id)
-        if args.axis:
-            from repro.experiments.sweep import job_sweep_csv, render_points
-
-            spec = registry.get(args.artifact)
-            results = client.result(job_id)
-            record = client.status(job_id)
-            print(render_points(spec, record.labels, results))
-            print()
-            print(job_sweep_csv(axes, record), end="")
-        else:
-            _print_run_results(client, job_id)
-    except Exception as exc:
-        return _client_error(exc)
-    return 0
-
-
-def _cmd_job_verb(args: argparse.Namespace) -> int:
-    from repro.service.client import ExperimentClient
-
-    client = ExperimentClient.connect(args.daemon or None, client=args.client)
-    try:
-        if args.command == "status":
-            print(json.dumps(client.status(args.job_id).to_json(), indent=2))
-        elif args.command == "cancel":
-            record = client.cancel(args.job_id)
-            print(f"{record.job_id} {record.state}")
-        elif args.command == "stream":
-            for event in client.stream(args.job_id, args.from_seq):
-                print(json.dumps(event.to_json(), separators=(",", ":")), flush=True)
-        elif args.command == "list-jobs":
-            from repro.util.tables import TextTable
-
-            t = TextTable(
-                ["job", "client", "artifact", "state", "prio",
-                 "done/total", "cache", "dedup"],
-                title="Jobs",
-            )
-            for r in client.list_jobs():
-                t.add_row([
-                    r.job_id, r.client, r.artifact, r.state, r.priority,
-                    f"{r.tasks_done}/{r.tasks_total}", r.cache_hits, r.dedup_hits,
-                ])
-            print(t.render())
-        elif args.command == "stats":
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-    except Exception as exc:
-        return _client_error(exc)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # deprecated back-compat shim:
-    # `repro-experiments table4 --scenario ...` -> `run ...`
-    if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
-        warnings.warn(_DEPRECATION_NOTE, DeprecationWarning, stacklevel=2)
-        print(f"warning: {_DEPRECATION_NOTE}", file=sys.stderr)
-        argv.insert(0, "run")
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -597,15 +253,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list()
         if args.command == "run":
             return _cmd_run(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "submit":
-            return _cmd_submit(args, parser)
-        return _cmd_job_verb(args)
+        return _cmd_sweep(args, parser)
     except BrokenPipeError:
-        # stdout went away (e.g. `status ... | head`); exit quietly with
+        # stdout went away (e.g. `run all | head`); exit quietly with
         # the conventional SIGPIPE status
         try:
             sys.stdout.close()

@@ -1,32 +1,29 @@
-"""One-call report generation: every artifact to a directory.
+"""Report generation: rendered artifacts to a directory.
 
-``write_all(out_dir)`` regenerates each table/figure through the
-experiment registry and the process-pool runner — so it takes the same
-``jobs``/``cache`` controls as the CLI — and writes the human-readable
-render (``.txt``) plus, where defined, the machine-readable CSV
-(``.csv``) and the Perfetto trace JSON.  Used by
-``repro-experiments ... --out DIR`` and handy for archiving a full
-reproduction run.  File contents depend only on the results (never on
-scheduling), so a ``jobs=4`` report is byte-identical to a serial one.
+``write_results(out_dir, outcomes)`` writes what a run produced: the
+human-readable render of each outcome (``.txt``), plus, where defined,
+the machine-readable CSV (``.csv``) and the Perfetto trace JSON.
+``repro-experiments run ... --out DIR`` calls it with the outcomes of
+its own validated tasks, so the files match the run's stdout.
 
-The run goes through the in-process
-:class:`~repro.service.client.ExperimentClient`, so alongside the
-rendered artifacts the report directory gets ``manifest.json`` — the
-job's versioned :class:`~repro.experiments.serde.JobRecord` (per-task
-params, cache-hit counts, and every result payload), enough to rebuild
-any serializable artifact without re-running it.
+``write_all(out_dir)`` is the one-call form: it builds the standard
+task of each artifact, runs them through the process-pool runner (same
+``jobs``/``cache`` controls as the CLI) and writes the outcomes.  File
+contents depend only on the results, never on scheduling, so a
+``jobs=4`` report is byte-identical to a serial one.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.experiments import export, registry
 from repro.experiments.cache import ResultCache
+from repro.experiments.runner import Task, TaskOutcome, run_tasks
 
-__all__ = ["write_all", "ARTIFACTS", "standard_overrides"]
+__all__ = ["write_all", "write_results", "ARTIFACTS", "standard_overrides"]
 
 #: report names in canonical order (the historical file stems)
 ARTIFACTS = (
@@ -81,6 +78,29 @@ def _csv_writers() -> dict[str, Callable[[Any], str]]:
     }
 
 
+def write_results(
+    out_dir: str | Path, outcomes: Sequence[TaskOutcome]
+) -> list[Path]:
+    """Write each outcome's render (and CSV/trace) into ``out_dir``;
+    returns written paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_writers = _csv_writers()
+    written: list[Path] = []
+    for outcome in outcomes:
+        spec, result = outcome.task.spec, outcome.result
+        if spec.name == "trace":
+            _write_text(out, "trace_summary.txt", spec.render(result), written)
+            written.append(result.write(out / "trace.json"))
+            continue
+        _write_text(out, f"{spec.file_stem}.txt", spec.render(result), written)
+        if spec.name in csv_writers:
+            _write_text(
+                out, f"{spec.file_stem}.csv", csv_writers[spec.name](result), written
+            )
+    return written
+
+
 def write_all(
     out_dir: str | Path,
     *,
@@ -92,38 +112,10 @@ def write_all(
     refresh: bool = False,
 ) -> list[Path]:
     """Regenerate ``artifacts`` into ``out_dir``; returns written paths."""
-    from repro.service.client import ExperimentClient
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     specs = [registry.get(_ALIASES.get(name, name)) for name in artifacts]
-    client = ExperimentClient.in_process(jobs=jobs, cache=cache, refresh=refresh)
-    job_id = client.submit(
-        tasks=[
-            (spec.name, standard_overrides(spec, quick=quick, iters=iters))
-            for spec in specs
-        ]
-    )
-    results = client.result(job_id)
-    record = client.status(job_id)
-
-    csv_writers = _csv_writers()
-    written: list[Path] = []
-    for spec, result in zip(specs, results):
-        if spec.name == "trace":
-            _write_text(out, "trace_summary.txt", spec.render(result), written)
-            written.append(result.write(out / "trace.json"))
-            continue
-        _write_text(out, f"{spec.file_stem}.txt", spec.render(result), written)
-        if spec.name in csv_writers:
-            _write_text(
-                out, f"{spec.file_stem}.csv", csv_writers[spec.name](result), written
-            )
-    manifest = out / "manifest.json"
-    manifest.write_text(
-        json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    written.append(manifest)
-    return written
+    tasks = [
+        Task(spec, spec.validate(standard_overrides(spec, quick=quick, iters=iters)))
+        for spec in specs
+    ]
+    outcomes = run_tasks(tasks, jobs=jobs, cache=cache, refresh=refresh)
+    return write_results(out_dir, outcomes)

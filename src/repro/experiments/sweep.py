@@ -29,9 +29,7 @@ from repro.experiments.runner import Task, TaskOutcome
 __all__ = [
     "grid_tasks",
     "sweep_csv",
-    "job_sweep_csv",
     "render_sweep",
-    "render_points",
     "numeric_summary",
 ]
 
@@ -60,9 +58,7 @@ def grid_tasks(
 
 
 def _fmt(value: Any) -> str:
-    # lists appear when a point came back through the JSON job envelope
-    # (tuples have no JSON form); both render the same CSV cell
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -112,11 +108,13 @@ def _summaries(outcomes: Sequence[TaskOutcome]) -> list[dict[str, float]]:
     return rows
 
 
-def _csv_table(
-    names: Sequence[str],
-    points: Sequence[Sequence[Any]],
-    summaries: Sequence[Mapping[str, float]],
+def sweep_csv(
+    axes: Mapping[str, Sequence[Any]], outcomes: Sequence[TaskOutcome]
 ) -> str:
+    """The merged sweep table: axis columns, then the union of every
+    point's numeric-summary columns (first-seen order)."""
+    names = list(axes)
+    summaries = _summaries(outcomes)
     columns: list[str] = []
     for row in summaries:
         for key in row:
@@ -124,50 +122,13 @@ def _csv_table(
                 columns.append(key)
     out = io.StringIO()
     w = csv.writer(out)
-    w.writerow(list(names) + columns)
-    for point, row in zip(points, summaries):
+    w.writerow(names + columns)
+    for outcome, row in zip(outcomes, summaries):
         w.writerow(
-            [_fmt(v) for v in point]
+            [_fmt(outcome.task.params[n]) for n in names]
             + [("" if key not in row else f"{row[key]:g}") for key in columns]
         )
     return out.getvalue()
-
-
-def sweep_csv(
-    axes: Mapping[str, Sequence[Any]], outcomes: Sequence[TaskOutcome]
-) -> str:
-    """The merged sweep table: axis columns, then the union of every
-    point's numeric-summary columns (first-seen order)."""
-    names = list(axes)
-    return _csv_table(
-        names,
-        [[o.task.params[n] for n in names] for o in outcomes],
-        _summaries(outcomes),
-    )
-
-
-def job_sweep_csv(axes: Mapping[str, Sequence[Any]], record: Any) -> str:
-    """:func:`sweep_csv` from a :class:`~repro.experiments.serde.JobRecord`
-    instead of live outcomes — the point values come from the record's
-    per-task params and the summary columns from its stored result
-    payloads, so a daemon-side sweep exports the identical CSV."""
-    names = list(axes)
-    payloads = record.results or [None] * len(record.params)
-    return _csv_table(
-        names,
-        [[params[n] for n in names] for params in record.params],
-        [numeric_summary(p) if p is not None else {} for p in payloads],
-    )
-
-
-def render_points(
-    spec: ExperimentSpec, labels: Sequence[str], results: Sequence[Any]
-) -> str:
-    """Every point's render under its label header, in grid order."""
-    return "\n\n".join(
-        f"--- {label} ---\n{spec.render(result)}"
-        for label, result in zip(labels, results)
-    )
 
 
 def render_sweep(
@@ -176,6 +137,6 @@ def render_sweep(
     outcomes: Sequence[TaskOutcome],
 ) -> str:
     """Every point's render under a parameter header, in grid order."""
-    return render_points(
-        spec, [o.task.label for o in outcomes], [o.result for o in outcomes]
+    return "\n\n".join(
+        f"--- {o.task.label} ---\n{spec.render(o.result)}" for o in outcomes
     )

@@ -207,16 +207,6 @@ class MetricNames:
     RMA_REGISTER = "rma.register_us"        # window registration (pin + publish)
     RMA_REMOTE = "rma.remote_us"            # issue -> remote-completion latency
     RMA_INFLIGHT = "rma.inflight"           # outstanding one-sided ops at issue
-    # experiment service (wall-clock ms: the daemon lives outside
-    # virtual time — these price the queue, not the simulation)
-    SVC_QUEUE_DEPTH = "svc.queue_depth"     # queued tasks at each schedule pass
-    SVC_WAIT = "svc.wait_ms"                # task queued -> started wall delay
-    SVC_EXEC = "svc.exec_ms"                # task started -> finished wall time
-    SVC_STREAM_LAG = "svc.stream_lag_events"  # events replayed per stream attach
-    SVC_WORKER_UTIL = "svc.worker_util"     # gauge: busy-slot-s / (workers * uptime)
-    SVC_JOBS = "svc.jobs_submitted"         # gauge (monotonic count)
-    SVC_CACHE_HITS = "svc.cache_hits"       # gauge: tasks resolved by the cache
-    SVC_DEDUP_HITS = "svc.dedup_hits"       # gauge: tasks folded into an in-flight twin
 
 
 def collect_cluster_gauges(metrics: Metrics, cluster) -> None:

@@ -96,6 +96,6 @@ class TestReportPlumbing:
     def test_write_all_emits_txt_and_csv(self, tmp_path):
         paths = write_all(tmp_path, artifacts=("congestion",))
         names = {p.name for p in paths}
-        assert names == {"congestion.txt", "congestion.csv", "manifest.json"}
+        assert names == {"congestion.txt", "congestion.csv"}
         for p in paths:
             assert p.stat().st_size > 0

@@ -13,7 +13,7 @@ class TestReportWriter:
     def test_write_all_selected_artifacts(self, tmp_path):
         paths = write_all(tmp_path, quick=True, iters=5, artifacts=("table1", "table4"))
         names = {p.name for p in paths}
-        assert names == {"table1.txt", "table4.txt", "table4.csv", "manifest.json"}
+        assert names == {"table1.txt", "table4.txt", "table4.csv"}
         for p in paths:
             assert p.exists() and p.stat().st_size > 0
 

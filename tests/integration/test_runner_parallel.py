@@ -52,6 +52,7 @@ def run_crashy(*, marker: str = "") -> TinyResult:
 
 
 _HERE = "tests.integration.test_runner_parallel"
+SNAPSHOTS = Path(__file__).resolve().parent / "snapshots"
 
 
 def tiny_spec(name="tiny", entry="run_tiny", **extra) -> ExperimentSpec:
@@ -145,30 +146,15 @@ class TestCli:
         assert "cache hit" not in err1
         assert "cache hit" in err2 and "(run)" not in err2
 
-    def test_old_positional_form_still_works(self, tmp_path, monkeypatch, capsys):
-        rc, out, _ = cli(["table1"], tmp_path, monkeypatch, capsys)
-        assert rc == 0 and "Table 1" in out
-
-    def test_old_positional_form_warns_deprecation(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """One release of warning before the shim goes away."""
-        with pytest.warns(DeprecationWarning, match="positional form"):
-            rc, out, err = cli(["table1"], tmp_path, monkeypatch, capsys)
-        assert rc == 0 and "Table 1" in out
-        assert "deprecated" in err
-        assert "repro-experiments run" in err
-
-    def test_new_subcommands_not_hijacked_by_the_shim(
-        self, tmp_path, monkeypatch, capsys, recwarn
-    ):
-        rc, out, _ = cli(["list"], tmp_path, monkeypatch, capsys)
-        assert rc == 0
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    def test_positional_form_removed(self, tmp_path, monkeypatch, capsys):
+        """`repro-experiments <artifact>` without `run` is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            cli(["table1"], tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
 
     def test_scenario_flag_maps_to_param(self, tmp_path, monkeypatch, capsys):
         rc, out, _ = cli(
-            ["table4", "--iters", "3", "--scenario", "am-rtt"],
+            ["run", "table4", "--iters", "3", "--scenario", "am-rtt"],
             tmp_path, monkeypatch, capsys,
         )
         assert rc == 0 and "AM base RTT" in out
@@ -182,7 +168,10 @@ class TestCli:
 
     def test_scenario_rejected_uniformly_off_table4(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit):
-            cli(["figure5", "--scenario", "am-rtt"], tmp_path, monkeypatch, capsys)
+            cli(
+                ["run", "figure5", "--scenario", "am-rtt"],
+                tmp_path, monkeypatch, capsys,
+            )
 
     def test_unknown_param_rejected(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit):
@@ -208,6 +197,24 @@ class TestCli:
         assert rc == 0
         assert (out_dir / "table4.txt").exists()
         assert (out_dir / "table4.csv").exists()
+
+    @pytest.mark.parametrize("artifact, overrides", [
+        ("table4", ["--iters", "3", "--scenario", "am-rtt"]),
+        ("scaling", ["--param", "sizes=20"]),
+    ])
+    def test_out_dir_honours_overrides(
+        self, artifact, overrides, tmp_path, monkeypatch, capsys
+    ):
+        """The file written under --out is the stdout section of the same
+        run: --scenario / --param reach the writer too."""
+        argv = ["run", artifact, *overrides, "--no-cache"]
+        rc1, out, _ = cli(argv, tmp_path, monkeypatch, capsys)
+        out_dir = tmp_path / "report"
+        rc2, _, _ = cli(argv + ["--out", str(out_dir)], tmp_path, monkeypatch, capsys)
+        assert rc1 == rc2 == 0
+        section = out.split(f"=== {artifact} ===\n", 1)[1]
+        written = (out_dir / f"{artifact}.txt").read_text(encoding="utf-8")
+        assert written.rstrip("\n") == section.rstrip("\n")
 
 
 class TestSweep:
@@ -258,6 +265,26 @@ class TestSweep:
     def test_sweep_needs_an_axis(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit):
             cli(["sweep", "scaling"], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("snapshot, argv", [
+        ("sweep_scaling_sizes.txt", ["scaling", "--axis", "sizes=20,200"]),
+        ("sweep_faults_drops.txt", [
+            "faults", "--axis", "drops=0.0,0.01",
+            "--param", "iters=3", "--param", "steps=1",
+        ]),
+    ])
+    def test_sweep_stdout_matches_snapshot(
+        self, snapshot, argv, jobs, tmp_path, monkeypatch, capsys
+    ):
+        """Byte-exact sweep stdout: every point's render, then the CSV."""
+        rc, out, _ = cli(
+            ["sweep", *argv, "--no-cache", "--jobs", jobs],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert rc == 0
+        # read_bytes: the CSV rows end in \r\n, which read_text would fold
+        assert out == (SNAPSHOTS / snapshot).read_bytes().decode("utf-8")
 
     def test_sweep_jobs_matches_serial(self, tmp_path, monkeypatch, capsys):
         argv = ["sweep", "scaling", "--param", "sizes=20,200", "--no-cache"]

@@ -1,5 +1,5 @@
 """Unit: the content-addressed result cache — hit/miss/invalidation,
-concurrent-writer safety, integrity re-hash, and size-capped LRU GC."""
+concurrent-writer safety and integrity re-hash."""
 
 import json
 import os
@@ -165,51 +165,3 @@ class TestIntegrity:
         path.write_text(json.dumps(envelope), encoding="utf-8")
         assert c.load(spec, params) == result
         assert c.integrity_failures == 0
-
-
-class TestGC:
-    def _fill(self, cache, spec, result, sizes):
-        paths = {}
-        for i, size in enumerate(sizes):
-            params = spec.validate({"sizes": (size,)})
-            path = cache.store(spec, params, result)
-            # deterministic, well-separated LRU clock
-            os.utime(path, (1000.0 + i, 1000.0 + i))
-            paths[size] = path
-        return paths
-
-    def test_noop_under_cap(self, tmp_path, spec, result):
-        c = ResultCache(tmp_path, version="1")
-        self._fill(c, spec, result, [20, 200])
-        report = c.gc(max_bytes=c.size_bytes())
-        assert report.evicted == 0
-        assert report.scanned == 2
-        assert report.bytes_after == report.bytes_before
-
-    def test_evicts_oldest_first_until_under_cap(self, tmp_path, spec, result):
-        c = ResultCache(tmp_path, version="1")
-        paths = self._fill(c, spec, result, [20, 200, 2000])
-        one_size = paths[20].stat().st_size
-        report = c.gc(max_bytes=c.size_bytes() - 1)  # force evicting one
-        assert report.evicted == 1
-        assert report.evicted_paths == [paths[20]]  # oldest mtime
-        assert not paths[20].exists() and paths[200].exists()
-        assert report.bytes_before - report.bytes_after == one_size
-
-    def test_hit_refreshes_the_lru_clock(self, tmp_path, spec, result):
-        c = ResultCache(tmp_path, version="1")
-        paths = self._fill(c, spec, result, [20, 200])
-        # a hit on the older entry makes the other one the eviction victim
-        assert c.load(spec, spec.validate({"sizes": (20,)})) == result
-        report = c.gc(max_bytes=c.size_bytes() - 1)
-        assert report.evicted_paths == [paths[200]]
-        assert paths[20].exists()
-
-    def test_gc_sweeps_stale_temp_files(self, tmp_path, spec, result):
-        c = ResultCache(tmp_path, version="1")
-        self._fill(c, spec, result, [20])
-        stale = tmp_path / "scaling" / "deadbeef.12345.0.tmp"
-        stale.write_text("{half an envel", encoding="utf-8")
-        report = c.gc(max_bytes=10**9)
-        assert not stale.exists()
-        assert report.evicted == 0  # real envelopes untouched
