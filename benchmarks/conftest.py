@@ -3,7 +3,8 @@
 Every benchmark regenerates one paper artifact (table or figure),
 asserts its headline shape, prints the rendered artifact (run with
 ``-s`` to see it live), and writes it under ``benchmarks/out/`` so the
-regenerated tables survive the run.
+regenerated tables survive the run.  That directory is generated,
+local output: it is not tracked, and nothing in the repository reads it.
 """
 
 from __future__ import annotations

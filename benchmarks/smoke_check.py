@@ -39,7 +39,7 @@ from scenarios import SCENARIOS  # noqa: E402
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
-#: minimum batched-tier speedup over the reference core (same workload,
+#: minimum flat-kernel speedup over the generator path (same workload,
 #: same machine, same process — immune to hardware drift, unlike wall_ms)
 BATCHED_MIN_SPEEDUP = 1.10
 
@@ -118,8 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         if verdict != "ok":
             failures.append(name)
 
-    # The batched tier exists only to be faster: whenever both em3d
-    # scenarios ran, require the tier to beat the reference core by a
+    # The flat EM3D kernel exists only to be faster: whenever both em3d
+    # scenarios ran, require it to beat the generator path by a
     # machine-independent margin (wall-clock floors drift with hardware;
     # this ratio must not).
     ref, bat = measured.get("em3d_step_160nodes"), measured.get("em3d_batched_step")
@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         speedup = ref / bat
         ok = speedup >= BATCHED_MIN_SPEEDUP
         print(
-            f"batched tier speedup: {speedup:.2f}x over the reference core "
+            f"flat kernel speedup: {speedup:.2f}x over the generator path "
             f"(floor {BATCHED_MIN_SPEEDUP:.2f}x)  {'ok' if ok else 'REGRESSION'}"
         )
         if not ok:

@@ -17,6 +17,10 @@ whole phase in a *single* generator frame:
   :class:`~repro.sim.effects.ChargeRun`, injection, poll-on-send, and
   the reply spin — yielding the same effects with the same virtual
   timestamps;
+* the inlined poll serves the peers' ``sc.read`` requests and this
+  node's ``sc.reply_val`` replies itself, each as one fused
+  :class:`~repro.sim.effects.ChargeRun` (service hit + reply send, or
+  service hit + reply handling);
 * the per-update trailing charges (aggregated local-access cost + the
   per-neighbour CPU cost) are memoized per shape and fused;
 * new values are scattered back with one numpy indexed store (the
@@ -24,10 +28,10 @@ whole phase in a *single* generator frame:
 
 Equivalence: every effect the scheduler sees, every packet injection
 time, every counter total and every float operation ordering matches the
-reference path bit for bit; the golden identity suite drives both cores
-over the same workload and diffs everything.  The kernel stands down
-(callers fall back to ``phase_base``) when spans or metrics are
-recording, because those observe mid-window state the fused charges
+generator path bit for bit; ``tests/integration/test_batched_identity.py``
+drives both over the same workload and diffs everything.  The kernel
+stands down (callers fall back to ``phase_base``) when spans or metrics
+are recording, because those observe mid-window state the fused charges
 reorder.
 """
 
@@ -49,6 +53,7 @@ from repro.splitc.process import SCProcess
 __all__ = ["BatchedEm3dKernel"]
 
 _READ_REQ_BYTES = 16  # matches SCProcess.read's request frame
+_REPLY_VAL_BYTES = 16  # matches SplitCRuntime._h_read's reply frame
 
 
 class BatchedEm3dKernel:
@@ -122,17 +127,17 @@ class BatchedEm3dKernel:
         region = self.value_region
         msg_short = CounterNames.MSG_SHORT
         polls = CounterNames.POLLS
-        # inlined-poll bindings (the drain below replicates AMEndpoint.poll
-        # exactly for inboxes every frame of which has a fast handler)
-        fast_handlers = ep._fast_handlers
+        # inlined-poll bindings (the drain below replicates AMEndpoint.poll)
         handlers = ep._handlers
         consumed = ep._consumed
         chg_hit_short = ep._chg_hit_short
         chg_hit_bulk = ep._chg_hit_bulk
         chg_hit_credit = ep._chg_hit_credit
-        crun_hit_reply = ep._crun_hit_reply
-        crun_memo = ep._crun_memo
-        crun_posts = ep._crun_posts
+        crun_hit_reply = ChargeRun(chg_hit_short, chg_send_short)
+        crun_hit_handled = ChargeRun(chg_hit_short, rt._chg_reply[nid])
+        regions = proc.mem._regions
+        load_gp = proc.mem.load_gp
+        take_box = rt._take_box
         half = ep._half_window
         refill = ep._refill_credits
         wake_all = node.scheduler.wake_all_inbox_waiters
@@ -192,9 +197,11 @@ class BatchedEm3dKernel:
                 # (the kernel only runs when both are off) — same charges,
                 # same counter bumps, same refill check, same waiter
                 # broadcast — without the per-poll generator allocation
-                # and frame hop.  Frames without a fast form (barriers,
-                # bulk) take the generic handler branch, exactly as the
-                # real poll would.
+                # and frame hop.  The read protocol's own frames
+                # (``sc.read``, ``sc.reply_val``) are served in place with
+                # their service hit fused to the handler's one charge;
+                # every other frame (barriers, credits, bulk) takes the
+                # generic handler branch, exactly as the real poll would.
                 while True:
                     if not inbox:
                         counts[polls] += 1
@@ -208,40 +215,52 @@ class BatchedEm3dKernel:
                             kind = pkt.kind
                             if kind == KIND_SHORT:
                                 frame = pkt.payload
-                                fast = fast_handlers.get(frame.handler)
-                                if fast is not None:
-                                    post, reply = fast(ep, src, frame)
+                                handler = frame.handler
+                                if handler == "sc.read":
+                                    # SplitCRuntime._h_read, with the load
+                                    # ahead of the fused hit+reply charges
+                                    # (nothing else observes it meanwhile);
+                                    # a miss or out-of-bounds access takes
+                                    # load_gp for its diagnostics
+                                    rregion, roff, rslot = frame.args
+                                    arr = regions.get(rregion)
+                                    if arr is not None and 0 <= roff < len(arr):
+                                        value = arr[roff].item()
+                                    else:
+                                        value = load_gp(rregion, roff)
                                     n = consumed.get(src, 0) + 1
                                     consumed[src] = n
                                     if n >= half:
                                         ep._refill_due = True
-                                    if reply is not None:
-                                        yield crun_hit_reply
-                                        counts[msg_short] += 1
-                                        rh, rargs, rnb = reply
-                                        if reliable:
-                                            inject(
-                                                src, KIND_SHORT, AMFrame(rh, rargs), rnb
-                                            )
-                                        else:
-                                            transmit(
-                                                Packet(
-                                                    src=nid,
-                                                    dst=src,
-                                                    kind=KIND_SHORT,
-                                                    payload=AMFrame(rh, rargs),
-                                                    nbytes=rnb,
-                                                )
-                                            )
-                                    elif post is not None:
-                                        crun = crun_memo.get(id(post))
-                                        if crun is None:
-                                            crun = ChargeRun(chg_hit_short, post)
-                                            crun_memo[id(post)] = crun
-                                            crun_posts.append(post)
-                                        yield crun
+                                    yield crun_hit_reply
+                                    counts[msg_short] += 1
+                                    reply = AMFrame("sc.reply_val", (rslot, value))
+                                    if reliable:
+                                        inject(src, KIND_SHORT, reply, _REPLY_VAL_BYTES)
                                     else:
-                                        yield chg_hit_short
+                                        transmit(
+                                            Packet(
+                                                src=nid,
+                                                dst=src,
+                                                kind=KIND_SHORT,
+                                                payload=reply,
+                                                nbytes=_REPLY_VAL_BYTES,
+                                            )
+                                        )
+                                    handled += 1
+                                    continue
+                                if handler == "sc.reply_val":
+                                    # SplitCRuntime._h_reply_val, with the
+                                    # box filled ahead of the fused charges
+                                    rslot, value = frame.args
+                                    rbox = take_box(nid, rslot)
+                                    rbox.value = value
+                                    rbox.done = True
+                                    n = consumed.get(src, 0) + 1
+                                    consumed[src] = n
+                                    if n >= half:
+                                        ep._refill_due = True
+                                    yield crun_hit_handled
                                     handled += 1
                                     continue
                             if kind == KIND_CREDIT:

@@ -43,7 +43,6 @@ def run_rma_em3d(
     steps: int = 2,
     costs: CostModel = SP2_COSTS,
     warmup_steps: int = 1,
-    fast_path: bool = True,
     tracer: Any | None = None,
     faults: Any | None = None,
     reliable: bool = False,
@@ -55,16 +54,14 @@ def run_rma_em3d(
 
     Same harness contract as
     :func:`~repro.apps.em3d.splitc_impl.run_splitc_em3d` (fault plans,
-    reliable AM, topologies, golden-trace knobs); there is no batched
-    kernel variant — the RMA handlers register no fast forms, so runs
-    are identical under ``REPRO_BATCHED=0`` and ``1`` by construction.
+    reliable AM, topologies, tracers).  There is no flat-kernel variant,
+    so ``REPRO_BATCHED`` does not reach this path.
     """
     layout = Em3dLayout(graph)
     p = graph.params
     cluster = Cluster(
         p.n_procs,
         costs=costs,
-        fast_path=fast_path,
         tracer=tracer,
         faults=faults,
         metrics=metrics,

@@ -13,6 +13,7 @@ The three versions of §5, expressed over :class:`~repro.splitc.SCProcess`:
 
 from __future__ import annotations
 
+import os
 from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Any
@@ -29,10 +30,22 @@ from repro.sim.account import Category
 from repro.sim.effects import Charge
 from repro.splitc import SCProcess, SplitCRuntime
 
-__all__ = ["Em3dRunResult", "run_splitc_em3d"]
+__all__ = ["Em3dRunResult", "batched_default", "run_splitc_em3d"]
 
 VAL = "em3d.val"
 GHOST = "em3d.ghost"
+
+
+def batched_default() -> bool:
+    """Whether :func:`run_splitc_em3d` uses the flat base-version kernel
+    when its ``batched`` argument is None.
+
+    Controlled by the ``REPRO_BATCHED`` environment variable: unset or
+    anything but ``"0"`` turns the kernel on (it is bit-identical to the
+    generator path, so on is the safe default); ``REPRO_BATCHED=0`` runs
+    the generator path — this is what the CI identity job flips.
+    """
+    return os.environ.get("REPRO_BATCHED", "1") != "0"
 
 
 @dataclass(slots=True)
@@ -53,7 +66,6 @@ def run_splitc_em3d(
     version: str = "base",
     costs: CostModel = SP2_COSTS,
     warmup_steps: int = 1,
-    fast_path: bool = True,
     tracer: Any | None = None,
     faults: Any | None = None,
     reliable: bool = False,
@@ -64,17 +76,16 @@ def run_splitc_em3d(
 ) -> Em3dRunResult:
     """Run one Split-C EM3D configuration and measure it.
 
-    ``fast_path``/``tracer`` exist for the golden-trace determinism suite:
-    the fast-path engine must reproduce the heap-only engine's event trace
-    and results exactly.  ``faults``/``reliable``/``retry`` run the same
-    workload over a lossy fabric with the reliable AM sublayer (the
-    drop-rate ablation in :mod:`repro.experiments.faults`).
+    ``tracer`` records the machine-event trace the golden-trace suite
+    pins.  ``faults``/``reliable``/``retry`` run the same workload over a
+    lossy fabric with the reliable AM sublayer (the drop-rate ablation in
+    :mod:`repro.experiments.faults`).
 
-    ``batched`` selects the batched execution tier (None = the
-    ``REPRO_BATCHED`` default): fast AM handlers plus, for the base
-    version, the flattened compute kernel of
-    :mod:`repro.apps.em3d.batched` — bit-identical to the reference
-    path, just cheaper per event.
+    ``batched`` turns the flat compute kernel of
+    :mod:`repro.apps.em3d.batched` on or off for the base version (None =
+    :func:`batched_default`).  The kernel is bit-identical to the
+    generator path, just cheaper per event; the ghost and bulk versions
+    ignore it.
 
     ``topology`` is a :class:`~repro.machine.topology.Topology` or spec
     string ("flat", "ring", "fattree:arity=8"); None keeps the
@@ -87,17 +98,16 @@ def run_splitc_em3d(
     cluster = Cluster(
         p.n_procs,
         costs=costs,
-        fast_path=fast_path,
         tracer=tracer,
         faults=faults,
         metrics=metrics,
         topology=topology,
     )
-    rt = SplitCRuntime(cluster, reliable=reliable, retry=retry, batched=batched)
+    rt = SplitCRuntime(cluster, reliable=reliable, retry=retry)
     # The kernel reorders observation-free bookkeeping inside fused
     # charge windows, so it stands down while spans or metrics record.
     use_kernel = (
-        rt.batched
+        (batched_default() if batched is None else batched)
         and version == "base"
         and metrics is None
         and (tracer is None or not getattr(tracer, "wants_spans", False))

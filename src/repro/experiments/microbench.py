@@ -276,19 +276,16 @@ def run_cc_microbench(
     stub_caching: bool = True,
     persistent_buffers: bool = True,
     reception: str = "polling",
-    fast_path: bool = True,
     stats_out: dict | None = None,
     metrics: Any | None = None,
 ) -> MicroRow:
     """Run one CC++ micro-benchmark on a fresh 2-node cluster.
 
-    ``fast_path=False`` runs the unoptimized heap-only engine; the
-    golden-trace tests assert the row is identical either way.  Pass a
-    dict as ``stats_out`` to receive the engine's ``fastpath_stats()``
+    Pass a dict as ``stats_out`` to receive the engine's ``fastpath_stats()``
     (wall-clock instrumentation for the throughput benchmarks).
     """
     op, scale = CC_BENCHMARKS[name]
-    cluster = Cluster(2, costs=costs, fast_path=fast_path, metrics=metrics)
+    cluster = Cluster(2, costs=costs, metrics=metrics)
     rt = CCppRuntime(
         cluster,
         stub_caching=stub_caching,
@@ -359,7 +356,6 @@ def run_sc_microbench(
     *,
     iters: int = _DEFAULT_ITERS,
     costs: CostModel = SP2_COSTS,
-    fast_path: bool = True,
     stats_out: dict | None = None,
     metrics: Any | None = None,
 ) -> MicroRow:
@@ -369,7 +365,7 @@ def run_sc_microbench(
     therefore servicing node 0's requests, as an SPMD program would.
     """
     op, scale = SC_BENCHMARKS[name]
-    cluster = Cluster(2, costs=costs, fast_path=fast_path, metrics=metrics)
+    cluster = Cluster(2, costs=costs, metrics=metrics)
     rt = SplitCRuntime(cluster)
     rt.register_rpc("foo", lambda _rt, _nid: 0)
     for nid in range(2):

@@ -24,8 +24,8 @@ Four sections, all in the simulator's virtual microseconds:
   is a typed choice axis, so ``sweep rma --param comm=rma,rmi,splitc``
   grids the paradigms.
 
-There are no batched fast forms for the RMA or tree handlers, so every
-section is bit-identical under ``REPRO_BATCHED=0`` and ``1``.
+``REPRO_BATCHED`` switches only the flat kernel of the EM3D base
+version, which no section runs (``comm=splitc`` is the ghost version).
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ class Cluster:
         *,
         costs: CostModel = SP2_COSTS,
         tracer: Tracer | None = None,
-        fast_path: bool = True,
         faults: FaultPlan | None = None,
         metrics: Any | None = None,
         topology: Topology | str | None = None,
@@ -71,9 +70,7 @@ class Cluster:
         #: optional :class:`~repro.obs.metrics.Metrics` registry shared by
         #: every layer of this cluster (None = unmetered)
         self.metrics = metrics
-        # fast_path=False forces the general heap-only engine; results are
-        # bit-identical (the golden-trace suite holds us to that)
-        self.sim = Simulator(fast_path=fast_path)
+        self.sim = Simulator()
         self.network = Network(
             self.sim, tracer=tracer, faults=faults, metrics=metrics, topology=topology
         )

@@ -24,10 +24,11 @@ the common case allocates one short-lived list.
 Wall-clock fast path
 --------------------
 
-Three mechanisms remove engine overhead from the common cases without
-changing any observable ordering (``fast_path=False`` routes everything
-through the heap; the golden-trace tests assert both produce bit-identical
-results):
+These mechanisms remove engine overhead from the common cases without
+changing any observable ordering: every run fires exactly what a
+heap-only queue would, in the same ``(time, seq)`` order.  The golden
+traces pin the result, and ``tests/properties/test_prop_engine.py``
+checks it against a small heap-only reference simulator:
 
 * **zero-delay lane** — ``delay == 0`` callbacks (dispatch kicks,
   same-instant wake-ups) go into a FIFO deque instead of the heap.  Lane
@@ -62,23 +63,9 @@ from collections import deque
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 
-import os
-
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Simulator", "Watchdog", "batched_default"]
-
-
-def batched_default() -> bool:
-    """Whether the batched execution tier is enabled by default.
-
-    Controlled by the ``REPRO_BATCHED`` environment variable: unset or
-    anything but ``"0"`` enables it (the tier is bit-identical to the
-    reference core, so on is the safe default); ``REPRO_BATCHED=0``
-    forces every consumer that defaults through here back onto the
-    reference paths — this is what the CI identity job flips.
-    """
-    return os.environ.get("REPRO_BATCHED", "1") != "0"
+__all__ = ["Event", "Simulator", "Watchdog"]
 
 _INF = float("inf")
 
@@ -143,9 +130,6 @@ class Simulator:
         sim = Simulator()
         sim.schedule(10.0, lambda: print("fires at t=10us"))
         sim.run()
-
-    ``fast_path=False`` routes every callback through the heap (the
-    reference engine); results are bit-identical either way.
     """
 
     __slots__ = (
@@ -157,7 +141,6 @@ class Simulator:
         "_cancelled_in_heap",
         "_events_fired",
         "_running",
-        "_fast_path",
         "_until",
         "_run_max",
         "_run_fired",
@@ -165,7 +148,7 @@ class Simulator:
         "_immediate_fired",
     )
 
-    def __init__(self, *, fast_path: bool = True) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
         #: heap of ``[time, seq, fn]`` entries; ``fn is None`` = cancelled
@@ -176,7 +159,6 @@ class Simulator:
         self._cancelled_in_heap: int = 0
         self._events_fired: int = 0
         self._running = False
-        self._fast_path = fast_path
         # active run() bounds, mirrored by advance_inline()
         self._until: float | None = None
         self._run_max: int | None = None
@@ -209,10 +191,6 @@ class Simulator:
         event the general path would have fired.
         """
         return self._events_fired
-
-    @property
-    def fast_path(self) -> bool:
-        return self._fast_path
 
     def fastpath_stats(self) -> dict[str, int]:
         """Counters for how often the heap was bypassed."""
@@ -265,10 +243,7 @@ class Simulator:
         if delay == 0.0:
             seq = self._seq + 1
             self._seq = seq
-            if self._fast_path:
-                self._immediate.append([self._now, seq, fn])
-            else:
-                heappush(self._heap, [self._now, seq, fn])
+            self._immediate.append([self._now, seq, fn])
             return
         if delay != delay or delay == _INF:
             raise SimulationError(f"cannot schedule a {delay} us delay")
@@ -285,10 +260,7 @@ class Simulator:
         if time == now:
             seq = self._seq + 1
             self._seq = seq
-            if self._fast_path:
-                self._immediate.append([time, seq, fn])
-            else:
-                heappush(self._heap, [time, seq, fn])
+            self._immediate.append([time, seq, fn])
             return
         if time != time or time == _INF:
             raise SimulationError(f"cannot schedule at t={time}")
@@ -317,17 +289,10 @@ class Simulator:
         if delay == 0.0:
             seq = self._seq
             now = self._now
-            if self._fast_path:
-                append = self._immediate.append
-                for fn in fns:
-                    seq += 1
-                    append([now, seq, fn])
-            else:
-                heap = self._heap
-                push = heappush
-                for fn in fns:
-                    seq += 1
-                    push(heap, [now, seq, fn])
+            append = self._immediate.append
+            for fn in fns:
+                seq += 1
+                append([now, seq, fn])
             self._seq = seq
             return
         if delay != delay or delay == _INF:
@@ -362,9 +327,6 @@ class Simulator:
         """
         seq = self._seq + 1
         self._seq = seq
-        if not self._fast_path:
-            heappush(self._heap, [self._now, seq, fn])
-            return
         free = self._free
         if free:
             entry = free.pop()
@@ -387,7 +349,7 @@ class Simulator:
         bit-identical to the general path.
         """
         # ordered for the hot path: one truth test rejects most non-cases
-        if self._immediate or not self._fast_path:
+        if self._immediate:
             return False
         if not (_INF > delay > 0.0):
             return False
@@ -431,7 +393,7 @@ class Simulator:
         ``n`` fired events).  Bounded runs always return False so the
         per-charge path can honour ``max_events`` at the exact event.
         """
-        if self._immediate or not self._fast_path:
+        if self._immediate:
             return False
         if not (_INF > target > self._now):
             return False

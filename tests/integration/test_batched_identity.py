@@ -1,11 +1,11 @@
-"""Batched execution tier: bit-identity with the reference core.
+"""The flat EM3D kernel: bit-identity with the generator path.
 
-The batched tier (``REPRO_BATCHED``) swaps in fast AM handler forms and,
-for EM3D base, the flattened compute kernel of
+``run_splitc_em3d(batched=...)`` (default from ``REPRO_BATCHED``) runs
+the base version through the flattened compute kernel of
 :mod:`repro.apps.em3d.batched`.  Its contract is strict: every committed
 observable — elapsed virtual time, per-category breakdown, counter
 totals, computed values, and the full application trace — equals the
-reference core's bit for bit.  These tests drive both cores over the
+generator path's bit for bit.  These tests drive both paths over the
 same workloads and diff everything, including under a lossy fabric and
 with the reliable sublayer on.
 """
@@ -15,10 +15,9 @@ import re
 import pytest
 
 from repro.apps.em3d import Em3dGraph, Em3dParams, run_splitc_em3d
+from repro.apps.em3d.splitc_impl import batched_default
 from repro.machine.faults import FaultPlan
-from repro.sim.engine import batched_default
 from repro.sim.trace import RecordingTracer
-from repro.splitc import SplitCRuntime
 
 
 def _graph():
@@ -32,7 +31,7 @@ def _assert_results_equal(a, b):
     assert list(a.values) == list(b.values)
 
 
-@pytest.mark.parametrize("version", ["base", "ghost", "bulk"])
+@pytest.mark.parametrize("version", ["base"])
 def test_batched_em3d_identical_to_reference(version):
     graph = _graph()
     batched = run_splitc_em3d(graph, steps=2, version=version, batched=True)
@@ -97,15 +96,3 @@ def test_repro_batched_env_controls_default(monkeypatch):
     assert batched_default() is False
     monkeypatch.setenv("REPRO_BATCHED", "1")
     assert batched_default() is True
-
-
-def test_runtime_batched_follows_env_default(monkeypatch):
-    from repro.machine.cluster import Cluster
-
-    monkeypatch.setenv("REPRO_BATCHED", "0")
-    assert SplitCRuntime(Cluster(1)).batched is False
-    monkeypatch.setenv("REPRO_BATCHED", "1")
-    assert SplitCRuntime(Cluster(1)).batched is True
-    # an explicit argument always wins over the environment
-    monkeypatch.setenv("REPRO_BATCHED", "0")
-    assert SplitCRuntime(Cluster(1), batched=True).batched is True

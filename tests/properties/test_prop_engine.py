@@ -1,5 +1,7 @@
 """Property tests: the discrete-event engine."""
 
+import heapq
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,14 +77,59 @@ actions = st.lists(
 )
 
 
+class _HeapOnlySimulator:
+    """Reference engine for the property below: every callback goes
+    through one ``(time, seq)`` heap, and ``advance_inline`` always
+    declines, so a fused clock advance becomes a real resume event.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.events_fired = 0
+        self._seq = 0
+        self._heap: list[list] = []
+
+    def schedule(self, delay, fn) -> list:
+        self._seq += 1
+        entry = [self.now + delay, self._seq, fn]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def call_soon(self, fn) -> None:
+        self.schedule(0.0, fn)
+
+    def schedule_event(self, delay, fn):
+        return _HeapEvent(self.schedule(delay, fn))
+
+    def advance_inline(self, delay) -> bool:
+        return False
+
+    def run(self) -> None:
+        while self._heap:
+            t, _seq, fn = heapq.heappop(self._heap)
+            if fn is None:
+                continue
+            self.now = t
+            self.events_fired += 1
+            fn()
+
+
+class _HeapEvent:
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
+
+    def cancel(self) -> None:
+        self._entry[2] = None
+
+
 @settings(max_examples=60)
 @given(actions, delays)
 def test_fast_and_slow_engines_fire_identically(acts, seed_delays):
-    """The fast path (lane, freelist, inline advances) is bit-identical to
-    the heap-only engine on arbitrary mixes of scheduling styles."""
+    """The engine's fast paths (lane, freelist, inline advances, epoch
+    batching) fire exactly what a heap-only reference engine fires, at
+    the same times, on arbitrary mixes of scheduling styles."""
 
-    def drive(fast_path):
-        sim = Simulator(fast_path=fast_path)
+    def drive(sim):
         fired = []
 
         def react(i, kind, amount):
@@ -113,9 +160,9 @@ def test_fast_and_slow_engines_fire_identically(acts, seed_delays):
             else:
                 sim.schedule(amount, react(i, kind, amount))
         sim.run()
-        return fired, sim.now, sim.events_fired
+        return fired, sim.now, sim.events_fired, sim._seq
 
-    assert drive(True) == drive(False)
+    assert drive(Simulator()) == drive(_HeapOnlySimulator())
 
 
 @settings(max_examples=25)

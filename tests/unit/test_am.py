@@ -517,8 +517,7 @@ class TestCreditFlowControl:
         poll finds up to two half-windows from each source, one of them
         still owed after the refill).  The refills -- (src, dst, send
         time), in order -- are pinned to the values the full scan of every
-        source's consumed counter produced, through both the fast-handler
-        and the generic poll sites."""
+        source's consumed counter produced."""
         n_senders = 6
         cluster, eps = _cluster_with_am(
             n_senders + 1, costs=SP2_COSTS.with_net(credit_window=4)
@@ -540,13 +539,8 @@ class TestCreditFlowControl:
             return
             yield
 
-        def sink_fast(ep, src, frame):
-            handled["n"] += 1
-            return None, None
-
         eps[0].register_handler("sink", sink)
         eps[0].register_handler("fast", sink)
-        eps[0].register_fast("fast", sink_fast)
         counts = {nid: 9 + nid for nid in range(1, n_senders + 1)}
         total = sum(counts.values())
 

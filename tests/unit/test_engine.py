@@ -256,19 +256,6 @@ def test_fastpath_stats_accounting():
     assert stats["inline_advances"] == 0
 
 
-def test_slow_path_routes_everything_through_heap():
-    sim = Simulator(fast_path=False)
-    fired = []
-    sim.call_soon(lambda: fired.append("a"))
-    sim.schedule(0.0, lambda: fired.append("b"))
-    sim.schedule(1.0, lambda: fired.append("c"))
-    assert not sim.advance_inline(0.5)
-    sim.run()
-    assert fired == ["a", "b", "c"]
-    assert sim.fastpath_stats()["immediate_fired"] == 0
-    assert sim.fastpath_stats()["inline_advances"] == 0
-
-
 def test_advance_inline_refuses_when_event_in_window():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)
@@ -350,14 +337,13 @@ def test_schedule_many_rejects_bad_delay_with_items(delay):
         sim.schedule_many(delay, [lambda: None])
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
 @pytest.mark.parametrize("delay", [0.0, 3.0])
-def test_schedule_many_matches_individual_schedules(fast_path, delay):
+def test_schedule_many_matches_individual_schedules(delay):
     """One batched call is bit-identical to N individual schedule() calls:
     same firing order, same sequence-number consumption, same clock."""
 
     def drive(batch: bool) -> tuple[list, float, int]:
-        sim = Simulator(fast_path=fast_path)
+        sim = Simulator()
         fired = []
         fns = [lambda t=tag: fired.append(t) for tag in range(6)]
         sim.schedule(1.0, lambda: fired.append("early"))
